@@ -24,7 +24,7 @@ use crate::boxfile::Archive;
 use crate::capsule::CapsuleView;
 use crate::error::{Error, Result};
 use crate::extract::nominal::parse_index;
-use crate::query::exec::{ExecCtx, ExecShared, Selection};
+use crate::query::exec::{DictCol, ExecCtx, ExecShared, Selection, SlotCols};
 use crate::query::lang::{AggSpec, Query};
 use crate::query::plan::AggTargetKind;
 use crate::stats::{AggLayer, QueryStats};
@@ -490,6 +490,7 @@ impl ExecCtx<'_> {
                 // from metadata. Variable-bearing patterns read the
                 // dictionary Capsule (never the index Capsule).
                 let regions = VectorMeta::dict_regions(patterns)?;
+                let mut dict: Option<DictCol> = None;
                 let mut out = Vec::new();
                 for (p, region) in patterns.iter().zip(&regions) {
                     let const_only = p.pattern.sub_vars() == 0;
@@ -506,7 +507,11 @@ impl ExecCtx<'_> {
                             p.pattern.render_into(&[] as &[&[u8]], &mut value);
                         } else {
                             self.note_layer(AggLayer::Dictionary);
-                            self.dict_value_into(patterns, *dict_cap, idx, &mut value)?;
+                            let dict = match &mut dict {
+                                Some(dict) => dict,
+                                None => dict.insert(DictCol::resolve(self, patterns, *dict_cap)?),
+                            };
+                            value.extend_from_slice(dict.value(idx)?);
                         }
                         out.push((value, c));
                     }
@@ -518,14 +523,15 @@ impl ExecCtx<'_> {
                 // value per selected row (never the whole line).
                 self.note_layer(AggLayer::Reconstruct);
                 let mut map: HashMap<Vec<u8>, u64> = HashMap::new();
-                let mut subs: Vec<Vec<u8>> = Vec::new();
+                let mut cols = SlotCols::resolve(self, vector)?;
                 let mut value = Vec::new();
                 let rows: Vec<u32> = match &selected {
                     None => (0..group.rows()).collect(),
                     Some(rows) => rows.clone(),
                 };
                 for row in rows {
-                    self.slot_value_into(template, slot, row, &mut subs, &mut value)?;
+                    value.clear();
+                    cols.push_value(self, row, &mut value)?;
                     *map.entry(value.clone()).or_insert(0) += 1;
                 }
                 map.into_iter().collect()

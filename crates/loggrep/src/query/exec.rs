@@ -1,7 +1,7 @@
 //! Query execution over a CapsuleBox (§5): Capsule locating with runtime
 //! patterns, stamp filtering, fixed-length matching, and reconstruction.
 
-use crate::boxfile::Archive;
+use crate::boxfile::{Archive, GroupMeta};
 use crate::capsule::{CapsuleMeta, Layout};
 use crate::error::{Error, Result};
 use crate::extract::nominal::{format_index, parse_index};
@@ -11,7 +11,7 @@ use crate::query::lang::{Expr, Query, SearchString};
 use crate::query::plan::{plan, Conj, Mode, Plan, SegRef};
 use crate::rowset::RowSet;
 use crate::stats::QueryStats;
-use crate::vector::VectorMeta;
+use crate::vector::{DictRegion, VectorMeta};
 use crate::PAD;
 use logparse::{Piece, DEFAULT_DELIMS};
 use parking_lot::Mutex;
@@ -19,6 +19,7 @@ use pool::Pool;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
+use strsearch::fixed::trim_pad;
 use strsearch::FixedRows;
 
 /// Shards of the decompressed-payload cache. Capsules are assigned by id,
@@ -26,10 +27,12 @@ use strsearch::FixedRows;
 const CACHE_SHARDS: usize = 16;
 
 /// A wildcard/overflow verification fans out across row chunks only at or
-/// above this many candidate rows. Rendering one row costs a few µs while a
-/// single worker spawn costs ~0.25–0.75 ms on the virtualized hosts this
-/// targets, so thousands of rows must be at stake before threads pay off —
-/// selective queries must stay strictly serial to hit their latency budget.
+/// above this many candidate rows. Rendering one row from resolved columns
+/// costs ~0.2–0.4 µs (`grep-scan` at one thread on a 2-vCPU Xeon: 70,452
+/// Log C lines reconstructed in 28 ms) while a single worker spawn costs
+/// ~0.25–0.75 ms on such virtualized hosts, so thousands of rows must be at
+/// stake before threads pay off — selective queries must stay strictly
+/// serial to hit their latency budget.
 const PARALLEL_VERIFY_MIN_ROWS: usize = 4096;
 
 /// Reconstruction fans out across line chunks only at or above this many
@@ -171,9 +174,9 @@ impl<'a> ExecShared<'a> {
 impl Drop for ExecShared<'_> {
     /// Returns the session's decompressed payload buffers to the archive's
     /// arena so the next query reuses their capacity instead of
-    /// re-allocating megabytes of Vecs. Workers only hold payload `Arc`s
-    /// transiently and are joined before the session ends, so each payload
-    /// is unshared here; a still-shared one is simply freed.
+    /// re-allocating megabytes of Vecs. Workers hold payload `Arc`s only in
+    /// their render scratch and are joined before the session ends, so each
+    /// payload is unshared here; a still-shared one is simply freed.
     fn drop(&mut self) {
         for shard in &self.payloads {
             for (_, arc) in shard.lock().drain() {
@@ -273,38 +276,6 @@ impl<'a> ExecCtx<'a> {
             .lock()
             .insert(id, arc.clone());
         Ok(arc)
-    }
-
-    /// The unpadded value of `row` in a Capsule, appended into `out`
-    /// (cleared first) so render loops reuse one buffer per slot.
-    fn capsule_value_into(&mut self, id: u32, row: u32, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        let meta = self.meta(id)?;
-        let payload = self.payload(id)?;
-        match meta.layout {
-            Layout::Padded { width } => {
-                let width = width as usize;
-                if width == 0 || payload.len() % width != 0 {
-                    return Err(Error::Corrupt("capsule payload misaligned".into()));
-                }
-                let f = FixedRows::new(&payload, width, PAD);
-                if (row as usize) >= f.rows() {
-                    return Err(Error::Corrupt("capsule row out of range".into()));
-                }
-                out.extend_from_slice(f.value(row as usize));
-            }
-            Layout::Delimited => {
-                let ranges = self.ranges(id)?;
-                let &(lo, hi) = ranges
-                    .get(row as usize)
-                    .ok_or_else(|| Error::Corrupt("capsule row out of range".into()))?;
-                out.extend_from_slice(payload.get(lo..hi).ok_or_else(|| {
-                    Error::Corrupt("capsule row range outside payload".into())
-                })?);
-            }
-            Layout::Raw => return Err(Error::Corrupt("raw capsule has no row addressing".into())),
-        }
-        Ok(())
     }
 
     /// Rows of a Capsule whose values satisfy `(mode, needle)`.
@@ -627,16 +598,8 @@ impl<'a> ExecCtx<'a> {
                 outlier_cap,
                 outlier_rows,
             } => {
-                let mut out = self.eval_real_pattern(
-                    gid,
-                    slot,
-                    pattern,
-                    sub_caps,
-                    outlier_rows,
-                    nrows,
-                    needle,
-                    mode,
-                )?;
+                let mut out =
+                    self.eval_real_pattern(pattern, sub_caps, outlier_rows, nrows, needle, mode)?;
                 // The outlier Capsule is always scanned (§4.1). Its row
                 // count is untrusted, so hits are mapped fallibly.
                 if !outlier_rows.is_empty() {
@@ -665,13 +628,10 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// The runtime-pattern path for a real vector.
-    #[allow(clippy::too_many_arguments)]
     fn eval_real_pattern(
         &mut self,
-        gid: usize,
-        slot: usize,
-        pattern: &RuntimePattern,
-        sub_caps: &[u32],
+        pattern: &'a RuntimePattern,
+        sub_caps: &'a [u32],
         outlier_rows: &[u32],
         nrows: u32,
         needle: &[u8],
@@ -689,20 +649,21 @@ impl<'a> ExecCtx<'a> {
         match self.plan_timed(&segs, needle, mode) {
             Plan::All => Ok(RowSet::from_sorted(pattern_rows())),
             Plan::Overflow => {
-                // Scan the variable vector by materializing values into
-                // reused scratch buffers.
+                // Scan the variable vector, rendering each pattern row's
+                // value through the resolved sub-variable columns into one
+                // reused buffer.
                 let map = pattern_rows();
-                let mut subs: Vec<Vec<u8>> = Vec::new();
+                let mut cols = PatternCols::new(pattern, sub_caps);
                 let mut value = Vec::new();
                 let mut hits = Vec::new();
                 for (pr, &row) in map.iter().enumerate() {
-                    self.real_value_into(pattern, sub_caps, pr as u32, &mut subs, &mut value)?;
+                    value.clear();
+                    cols.push_value(self, pr as u32, &mut value)?;
                     self.note_row_verified();
                     if value_matches(&value, needle, mode) {
                         hits.push(row);
                     }
                 }
-                let _ = (gid, slot);
                 Ok(RowSet::from_sorted(hits))
             }
             Plan::Conjs(conjs) => {
@@ -867,137 +828,28 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Value reconstruction.
-    // ------------------------------------------------------------------
-
-    /// The value of sub-variable capsules assembled through a pattern,
-    /// rendered into `out` (cleared first). `subs` is the caller's reusable
-    /// per-sub-variable scratch.
-    fn real_value_into(
-        &mut self,
-        pattern: &RuntimePattern,
-        sub_caps: &[u32],
-        pattern_row: u32,
-        subs: &mut Vec<Vec<u8>>,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        if subs.len() < sub_caps.len() {
-            subs.resize_with(sub_caps.len(), Vec::new);
-        }
-        for (sub, &cap) in subs.iter_mut().zip(sub_caps) {
-            self.capsule_value_into(cap, pattern_row, sub)?;
-        }
-        pattern.render_into(subs.get(..sub_caps.len()).unwrap_or_default(), out);
-        Ok(())
-    }
-
-    /// The value of slot `slot` on group row `row`, rendered into `out`
-    /// (cleared first). `subs` is the caller's reusable sub-variable
-    /// scratch for pattern-decomposed vectors.
-    pub(crate) fn slot_value_into(
-        &mut self,
-        gid: usize,
-        slot: usize,
-        row: u32,
-        subs: &mut Vec<Vec<u8>>,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let vector = self
-            .group(gid)?
-            .vectors
-            .get(slot)
-            .ok_or_else(|| Error::Corrupt("template slot outside vector table".into()))?;
-        match vector {
-            VectorMeta::Plain { capsule } => self.capsule_value_into(*capsule, row, out),
-            VectorMeta::Real {
-                pattern,
-                sub_caps,
-                outlier_cap,
-                outlier_rows,
-            } => match outlier_rows.binary_search(&row) {
-                Ok(outlier_pos) => self.capsule_value_into(*outlier_cap, outlier_pos as u32, out),
-                Err(outliers_before) => {
-                    let pattern_row = row - outliers_before as u32;
-                    self.real_value_into(pattern, sub_caps, pattern_row, subs, out)
-                }
-            },
-            VectorMeta::Nominal {
-                patterns,
-                dict_cap,
-                index_cap,
-                ..
-            } => {
-                self.capsule_value_into(*index_cap, row, out)?;
-                let idx =
-                    parse_index(out).ok_or_else(|| Error::Corrupt("bad index value".into()))?;
-                self.dict_value_into(patterns, *dict_cap, idx, out)
-            }
-        }
-    }
-
-    /// The dictionary value with global index `idx`, rendered into `out`
-    /// (cleared first).
-    pub(crate) fn dict_value_into(
-        &mut self,
-        patterns: &[DictPattern],
-        dict_cap: u32,
-        idx: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let fixed = matches!(self.meta(dict_cap)?.layout, Layout::Raw);
-        if fixed {
-            out.clear();
-            let regions = VectorMeta::dict_regions(patterns)?;
-            let region = regions
-                .iter()
-                .rev()
-                .find(|r| r.first_index <= idx)
-                .ok_or_else(|| Error::Corrupt("dict index out of range".into()))?;
-            if idx - region.first_index >= region.count {
-                return Err(Error::Corrupt("dict index out of range".into()));
-            }
-            let payload = self.payload(dict_cap)?;
-            let bytes = region_bytes(&payload, region)?;
-            let width = region.width as usize;
-            let rows = FixedRows::new(bytes, width, PAD);
-            let local = (idx - region.first_index) as usize;
-            if local >= rows.rows() && width > 0 {
-                return Err(Error::Corrupt("dict index outside region".into()));
-            }
-            if width == 0 {
-                // A zero-width region stores only empty values.
-                return Ok(());
-            }
-            out.extend_from_slice(rows.value(local));
-            Ok(())
-        } else {
-            self.capsule_value_into(dict_cap, idx, out)
-        }
-    }
-
     /// Renders the full original line of group row `row` into `line`
-    /// (cleared first), materializing each slot value into the scratch's
-    /// reused buffers — only this row's column values are ever touched.
+    /// (cleared first): template constants and slot values are appended
+    /// straight from the group's resolved columns, which `scratch` resolves
+    /// on the first row rendered from the group.
     fn render_row_into(
         &mut self,
         gid: usize,
         row: u32,
-        scratch: &mut RenderScratch,
+        scratch: &mut RenderScratch<'a>,
         line: &mut Vec<u8>,
     ) -> Result<()> {
-        let group = self.group(gid)?;
-        let slots = group.vectors.len();
-        if scratch.values.len() < slots {
-            scratch.values.resize_with(slots, Vec::new);
+        let GroupCols { group, slots } = scratch.group(self, gid)?;
+        line.clear();
+        for piece in group.template.pieces() {
+            match piece {
+                Piece::Static(s) => line.extend_from_slice(s),
+                Piece::Slot(i) => slots
+                    .get_mut(*i)
+                    .ok_or_else(|| Error::Corrupt("template slot outside vector table".into()))?
+                    .push_value(self, row, line)?,
+            }
         }
-        let RenderScratch { values, subs } = scratch;
-        for (slot, value) in values.iter_mut().take(slots).enumerate() {
-            self.slot_value_into(gid, slot, row, subs, value)?;
-        }
-        group
-            .template
-            .render_into(values.get(..slots).unwrap_or_default(), line);
         Ok(())
     }
 
@@ -1017,7 +869,7 @@ impl<'a> ExecCtx<'a> {
         &mut self,
         index: &[(u32, u32)],
         lineno: u32,
-        scratch: &mut RenderScratch,
+        scratch: &mut RenderScratch<'a>,
         line: &mut Vec<u8>,
     ) -> Result<()> {
         let &(gid, row) = index
@@ -1082,22 +934,307 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Reusable buffers for one render loop: per-slot value buffers plus
-/// sub-variable buffers, so rendering a row allocates nothing once they are
-/// warm — the row-level counterpart of the archive's payload arena. Each
-/// worker owns one; buffers grow to the widest row seen and stay there for
-/// the rest of the loop.
+/// Per-worker render state: each group's columns, resolved on the first row
+/// rendered from that group and reused for every later row, so rendering
+/// takes no cache lock, hash lookup or `Arc` clone per value. Each worker
+/// owns one; it never crosses a chunk boundary, so chunking — and therefore
+/// output — stays independent of the thread count.
 #[derive(Default)]
-struct RenderScratch {
-    /// One value buffer per template slot.
-    values: Vec<Vec<u8>>,
-    /// One buffer per runtime-pattern sub-variable.
-    subs: Vec<Vec<u8>>,
+struct RenderScratch<'a> {
+    /// Resolved columns by group id (`None` until first rendered).
+    groups: Vec<Option<GroupCols<'a>>>,
+}
+
+impl<'a> RenderScratch<'a> {
+    /// The resolved columns of group `gid`, resolving them on first use.
+    fn group(&mut self, ctx: &mut ExecCtx<'a>, gid: usize) -> Result<&mut GroupCols<'a>> {
+        let ngroups = ctx.archive.boxed.groups.len();
+        if self.groups.len() < ngroups {
+            self.groups.resize_with(ngroups, || None);
+        }
+        let cached = self
+            .groups
+            .get_mut(gid)
+            .ok_or_else(|| Error::Corrupt(format!("group {gid} out of range")))?;
+        match cached {
+            Some(cols) => Ok(cols),
+            None => Ok(cached.insert(GroupCols::resolve(ctx, gid)?)),
+        }
+    }
+}
+
+/// One group's storage resolved for row access: its metadata plus one
+/// column view per template slot.
+struct GroupCols<'a> {
+    group: &'a GroupMeta,
+    slots: Vec<SlotCols<'a>>,
+}
+
+impl<'a> GroupCols<'a> {
+    fn resolve(ctx: &mut ExecCtx<'a>, gid: usize) -> Result<Self> {
+        let group = ctx.group(gid)?;
+        let slots = group
+            .vectors
+            .iter()
+            .map(|v| SlotCols::resolve(ctx, v))
+            .collect::<Result<_>>()?;
+        Ok(Self { group, slots })
+    }
+}
+
+/// One template slot's variable vector, resolved by storage form.
+pub(crate) enum SlotCols<'a> {
+    /// One value Capsule.
+    Plain(Col),
+    /// A runtime pattern over sub-variable columns plus an outlier column;
+    /// each is resolved only when a row first needs it, so rendering only
+    /// outlier rows never decompresses the sub-variable Capsules.
+    Real {
+        pattern: PatternCols<'a>,
+        outlier_rows: &'a [u32],
+        outlier_cap: u32,
+        outlier: Option<Col>,
+    },
+    /// Index column plus dictionary.
+    Nominal { index: Col, dict: DictCol },
+}
+
+impl<'a> SlotCols<'a> {
+    pub(crate) fn resolve(ctx: &mut ExecCtx<'a>, vector: &'a VectorMeta) -> Result<Self> {
+        Ok(match vector {
+            VectorMeta::Plain { capsule } => SlotCols::Plain(Col::resolve(ctx, *capsule)?),
+            VectorMeta::Real {
+                pattern,
+                sub_caps,
+                outlier_cap,
+                outlier_rows,
+            } => SlotCols::Real {
+                pattern: PatternCols::new(pattern, sub_caps),
+                outlier_rows,
+                outlier_cap: *outlier_cap,
+                outlier: None,
+            },
+            VectorMeta::Nominal {
+                patterns,
+                dict_cap,
+                index_cap,
+                ..
+            } => SlotCols::Nominal {
+                index: Col::resolve(ctx, *index_cap)?,
+                dict: DictCol::resolve(ctx, patterns, *dict_cap)?,
+            },
+        })
+    }
+
+    /// Appends the value of vector row `row` to `out`.
+    pub(crate) fn push_value(
+        &mut self,
+        ctx: &mut ExecCtx<'a>,
+        row: u32,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        match self {
+            SlotCols::Plain(col) => out.extend_from_slice(col.value(row)?),
+            SlotCols::Real {
+                pattern,
+                outlier_rows,
+                outlier_cap,
+                outlier,
+            } => match outlier_rows.binary_search(&row) {
+                Ok(outlier_pos) => {
+                    let col = match outlier {
+                        Some(col) => col,
+                        None => outlier.insert(Col::resolve(ctx, *outlier_cap)?),
+                    };
+                    out.extend_from_slice(col.value(outlier_pos as u32)?);
+                }
+                Err(outliers_before) => {
+                    pattern.push_value(ctx, row - outliers_before as u32, out)?;
+                }
+            },
+            SlotCols::Nominal { index, dict } => {
+                let idx = parse_index(index.value(row)?)
+                    .ok_or_else(|| Error::Corrupt("bad index value".into()))?;
+                out.extend_from_slice(dict.value(idx)?);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A runtime pattern with its sub-variable columns, all resolved together
+/// on the first value rendered.
+pub(crate) struct PatternCols<'a> {
+    pattern: &'a RuntimePattern,
+    sub_caps: &'a [u32],
+    subs: Option<Vec<Col>>,
+}
+
+impl<'a> PatternCols<'a> {
+    fn new(pattern: &'a RuntimePattern, sub_caps: &'a [u32]) -> Self {
+        Self {
+            pattern,
+            sub_caps,
+            subs: None,
+        }
+    }
+
+    /// Appends the value of pattern row `pattern_row` (pattern constants
+    /// with each sub-variable's value in place) to `out`.
+    fn push_value(
+        &mut self,
+        ctx: &mut ExecCtx<'a>,
+        pattern_row: u32,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let subs = match &mut self.subs {
+            Some(subs) => subs,
+            None => self.subs.insert(
+                self.sub_caps
+                    .iter()
+                    .map(|&cap| Col::resolve(ctx, cap))
+                    .collect::<Result<_>>()?,
+            ),
+        };
+        for seg in &self.pattern.segments {
+            match seg {
+                Segment::Const(c) => out.extend_from_slice(c),
+                Segment::Var(v) => out.extend_from_slice(
+                    subs.get(*v)
+                        .ok_or_else(|| {
+                            Error::Corrupt("pattern sub-variable outside capsule table".into())
+                        })?
+                        .value(pattern_row)?,
+                ),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A nominal vector's dictionary, resolved for lookup by global index.
+pub(crate) enum DictCol {
+    /// A dictionary stored as a row-addressable Capsule.
+    Rows(Col),
+    /// A fixed-length dictionary (raw layout): regions of equal-width
+    /// values, each located by `Σ countᵢ × lenᵢ` (§5.2) computed once.
+    Fixed {
+        payload: Arc<Vec<u8>>,
+        regions: Vec<DictRegion>,
+    },
+}
+
+impl DictCol {
+    pub(crate) fn resolve(
+        ctx: &mut ExecCtx<'_>,
+        patterns: &[DictPattern],
+        dict_cap: u32,
+    ) -> Result<Self> {
+        if matches!(ctx.meta(dict_cap)?.layout, Layout::Raw) {
+            let regions = VectorMeta::dict_regions(patterns)?;
+            Ok(DictCol::Fixed {
+                payload: ctx.payload(dict_cap)?,
+                regions,
+            })
+        } else {
+            Ok(DictCol::Rows(Col::resolve(ctx, dict_cap)?))
+        }
+    }
+
+    /// The dictionary value with global index `idx`.
+    pub(crate) fn value(&self, idx: u32) -> Result<&[u8]> {
+        let (payload, regions) = match self {
+            DictCol::Rows(col) => return col.value(idx),
+            DictCol::Fixed { payload, regions } => (payload, regions),
+        };
+        // Regions are in ascending `first_index` order: the owning region
+        // is the last one starting at or before `idx`.
+        let out_of_range = || Error::Corrupt("dict index out of range".into());
+        let region = regions
+            .partition_point(|r| r.first_index <= idx)
+            .checked_sub(1)
+            .and_then(|i| regions.get(i))
+            .ok_or_else(out_of_range)?;
+        let local = idx - region.first_index;
+        if local >= region.count {
+            return Err(out_of_range());
+        }
+        let bytes = region_bytes(payload, region)?;
+        let width = region.width as usize;
+        if width == 0 {
+            // A zero-width region stores only empty values.
+            return Ok(&[]);
+        }
+        fixed_row(bytes, local as usize, width)
+            .ok_or_else(|| Error::Corrupt("dict index outside region".into()))
+    }
+}
+
+/// One Capsule resolved for row access: its decompressed payload plus the
+/// addressing that finds row *i* without consulting any cache again.
+pub(crate) struct Col {
+    payload: Arc<Vec<u8>>,
+    rows: RowAddr,
+}
+
+/// How a resolved Capsule addresses its rows.
+enum RowAddr {
+    /// Fixed-length rows (§5.2): row *i* is the `width` bytes at
+    /// `i × width`, trailing pad trimmed.
+    Padded(usize),
+    /// Newline-delimited rows, with their byte ranges computed once.
+    Delimited(Arc<Vec<(usize, usize)>>),
+}
+
+impl Col {
+    /// Decompresses (or reuses) Capsule `id` and validates its addressing.
+    fn resolve(ctx: &mut ExecCtx<'_>, id: u32) -> Result<Self> {
+        let meta = ctx.meta(id)?;
+        let payload = ctx.payload(id)?;
+        let rows = match meta.layout {
+            Layout::Padded { width } => {
+                let width = width as usize;
+                if width == 0 || payload.len() % width != 0 {
+                    return Err(Error::Corrupt("capsule payload misaligned".into()));
+                }
+                RowAddr::Padded(width)
+            }
+            Layout::Delimited => RowAddr::Delimited(ctx.ranges(id)?),
+            Layout::Raw => return Err(Error::Corrupt("raw capsule has no row addressing".into())),
+        };
+        Ok(Self { payload, rows })
+    }
+
+    /// The unpadded value of `row`.
+    fn value(&self, row: u32) -> Result<&[u8]> {
+        let row_out_of_range = || Error::Corrupt("capsule row out of range".into());
+        match &self.rows {
+            RowAddr::Padded(width) => {
+                // The payload is a whole number of rows, so the slice
+                // exists exactly when `row` is in range.
+                fixed_row(&self.payload, row as usize, *width).ok_or_else(row_out_of_range)
+            }
+            RowAddr::Delimited(ranges) => {
+                let &(lo, hi) = ranges.get(row as usize).ok_or_else(row_out_of_range)?;
+                self.payload
+                    .get(lo..hi)
+                    .ok_or_else(|| Error::Corrupt("capsule row range outside payload".into()))
+            }
+        }
+    }
+}
+
+/// The unpadded value of row `row` in `width`-byte padded rows, or `None`
+/// when the row lies outside `buf`.
+fn fixed_row(buf: &[u8], row: usize, width: usize) -> Option<&[u8]> {
+    let start = row.checked_mul(width)?;
+    buf.get(start..start.checked_add(width)?)
+        .map(|raw| trim_pad(raw, PAD))
 }
 
 /// Slices a dictionary region out of a decompressed payload, rejecting
 /// regions whose declared extent overflows or exceeds the payload.
-fn region_bytes<'p>(payload: &'p [u8], region: &crate::vector::DictRegion) -> Result<&'p [u8]> {
+fn region_bytes<'p>(payload: &'p [u8], region: &DictRegion) -> Result<&'p [u8]> {
     let span = usize::try_from(u64::from(region.count) * u64::from(region.width))
         .map_err(|_| Error::Corrupt("dict region overflow".into()))?;
     let end = region

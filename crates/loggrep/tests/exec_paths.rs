@@ -3,6 +3,7 @@
 //! verification path.
 
 use loggrep::query::lang::Query;
+use loggrep::vector::VectorMeta;
 use loggrep::{LogGrep, LogGrepConfig};
 use logparse::DEFAULT_DELIMS;
 
@@ -174,4 +175,42 @@ fn arena_recycles_buffers_across_queries() {
     let all = archive.reconstruct_all().unwrap();
     assert_eq!(all.len(), 500);
     assert!(archive.arena_buffers() >= parked);
+}
+
+/// Rendering only the outlier rows of a real vector reads the outlier
+/// Capsule alone: the sub-variable columns are resolved lazily, on the
+/// first row that needs them, so here they are never decompressed.
+#[test]
+fn outlier_rows_render_without_sub_variable_capsules() {
+    let mut raw = Vec::new();
+    for i in 0..500 {
+        let v = if i % 97 == 0 {
+            format!("?!odd{i}")
+        } else {
+            format!("blk_{:06x}", i * 7919)
+        };
+        raw.extend_from_slice(format!("store {v} ok\n").as_bytes());
+    }
+    let engine = LogGrep::new(LogGrepConfig::default());
+    let archive = engine.compress_to_archive(&raw).unwrap();
+    let groups = &archive.capsule_box().groups;
+    assert_eq!(groups.len(), 1, "one template");
+    let Some(VectorMeta::Real {
+        sub_caps,
+        outlier_rows,
+        ..
+    }) = groups[0].vectors.first()
+    else {
+        panic!("the slot should be stored as a real vector");
+    };
+    assert!(!sub_caps.is_empty());
+    assert_eq!(outlier_rows.len(), 6);
+
+    let got = archive.query("odd").unwrap();
+    assert_eq!(got.lines, oracle(&raw, "odd"));
+    assert_eq!(got.lines.len(), 6);
+    assert_eq!(
+        got.stats.capsules_decompressed, 1,
+        "only the outlier Capsule may be decompressed"
+    );
 }

@@ -21,6 +21,14 @@ pub enum Mode {
     Contains,
 }
 
+/// A padded value with its trailing `pad` bytes removed. The trim finds the
+/// last non-pad byte word-parallel (see [`crate::swar::rfind_not_byte`]).
+#[inline]
+pub fn trim_pad(raw: &[u8], pad: u8) -> &[u8] {
+    let end = crate::swar::rfind_not_byte(raw, pad).map_or(0, |p| p + 1);
+    raw.get(..end).unwrap_or(raw)
+}
+
 /// A view of a decompressed fixed-width Capsule buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedRows<'a> {
@@ -84,11 +92,7 @@ impl<'a> FixedRows<'a> {
     pub fn value(&self, row: usize) -> &'a [u8] {
         let start = row * self.width;
         // lint:allow(no-panic-in-decode) — documented panic contract; callers bound row by rows()
-        let raw = &self.buf[start..start + self.width];
-        // SWAR pad trim: find the last non-pad byte word-parallel.
-        let end = crate::swar::rfind_not_byte(raw, self.pad).map_or(0, |p| p + 1);
-        // lint:allow(no-panic-in-decode) — end ≤ raw.len() by rposition
-        &raw[..end]
+        trim_pad(&self.buf[start..start + self.width], self.pad)
     }
 
     /// Checks `mode` against a single row (the direct-probe path of §5.2).

@@ -34,6 +34,11 @@ LOGGREP_THREADS=4 cargo test -q
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package (perfbench/) is its own workspace, so neither pass
+# above reaches it: run its contract tests (every BENCHMARK.json metric
+# printed with its unit, a dropped line counted as failed) explicitly.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 # Differential fuzzing smoke: a bounded seeded run of the whole engine
 # matrix (full, SP, every §6.3 ablation, at 1 and 4 threads, plus the
 # baselines) against the naive oracle. Failures are shrunk and written to
