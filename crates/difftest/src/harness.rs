@@ -9,9 +9,8 @@
 //! * serialized archives are **byte-identical across thread counts**;
 //! * `QueryStats` sanity: `capsules_decompressed ≤ capsules_total`,
 //!   ascending line numbers, no cache hit on a cold query;
-//! * plan drift stays within [`loggrep::query::explain`]'s lazy-execution
-//!   bounds (literal queries only — wildcard plans are vacuously
-//!   consistent);
+//! * plan drift stays within [`loggrep::query::explain`]'s bounds: actual
+//!   group skips and stamp rejections never exceed the probe run's;
 //! * with the cache enabled, a repeated query reports `cache_hit` and
 //!   returns byte-identical lines; with it disabled, it never does.
 
@@ -286,7 +285,7 @@ fn check_stats(
         return Err("line numbers not strictly ascending".to_string());
     }
     // Plan drift: execution must stay within the planner's predictions
-    // (lazy-execution bounds; vacuous for wildcard queries).
+    // (for literal and wildcard queries alike).
     let explanation = archive
         .explain(query)
         .map_err(|e| format!("explain failed: {e}"))?;

@@ -7,8 +7,9 @@ use crate::error::{Error, Result};
 use crate::extract::nominal::{format_index, parse_index};
 use crate::extract::DictPattern;
 use crate::pattern::{RuntimePattern, Segment};
+use crate::query::explain::{GroupDecision, SearchPlan};
 use crate::query::lang::{Expr, Query, SearchString};
-use crate::query::plan::{plan, Conj, Mode, Plan, SegRef};
+use crate::query::plan::{pattern_segs, plan, template_segs, Conj, Mode, Plan, SegRef};
 use crate::rowset::RowSet;
 use crate::stats::QueryStats;
 use crate::vector::{DictRegion, VectorMeta};
@@ -126,6 +127,19 @@ impl Archive {
         let all: Vec<u32> = (0..self.boxed.total_lines).collect();
         ctx.reconstruct(&all)
     }
+
+    /// Runs the filter stage over `expr` in probe mode (see [`Probe`]) and
+    /// returns each search string's decision per group. Reads no Capsule,
+    /// leaves the payload arena and the query cache alone, and records no
+    /// telemetry.
+    pub(crate) fn probe_filter(&self, expr: &Expr) -> Result<Vec<SearchPlan>> {
+        let _quiet = telemetry::suppress();
+        let shared = ExecShared::new(self);
+        let mut ctx = ExecCtx::new(&shared);
+        ctx.probe = Some(Probe::default());
+        ctx.filter_selection(Some(expr))?;
+        Ok(ctx.probe.take().map(|p| p.searches).unwrap_or_default())
+    }
 }
 
 /// The filter stage's output: which rows of each group the rest of the
@@ -195,6 +209,54 @@ pub(crate) struct ExecCtx<'a> {
     shared: &'a ExecShared<'a>,
     pub(crate) archive: &'a Archive,
     pub(crate) stats: QueryStats,
+    /// Set for a probe run of the filter stage; never on pool workers,
+    /// since a probe reads no Capsule and so never fans out.
+    probe: Option<Probe>,
+}
+
+/// What a probe run of the filter stage records in place of reading
+/// Capsule bytes. [`Archive::explain`] is such a run, so the plan it
+/// reports and the executor's decisions come from one walker.
+///
+/// Every point that would read a Capsule records the Capsule's id and
+/// answers with every candidate row instead, so each probe row set is a
+/// superset of the real run's. The lazy shortcuts (progressive matching,
+/// skipping groups an `and`/`not` left side emptied) therefore fire no
+/// more often than in the real run: the probe meets every planner skip
+/// and stamp check a real run meets, and possibly more.
+#[derive(Default)]
+struct Probe {
+    /// Capsules the current (search, group) pair would read.
+    touched: HashSet<u32>,
+    /// The current pair's decision, once taken.
+    decision: Option<GroupDecision>,
+    /// One plan per search string, in expression order.
+    searches: Vec<SearchPlan>,
+}
+
+impl Probe {
+    /// Turns a wildcard's literal-fragment decision into the search's: a
+    /// group the fragment kills stays skipped, the rest verify by
+    /// reconstruction.
+    fn wildcard(&mut self) {
+        let stamp_rejected = match &self.decision {
+            Some(GroupDecision::Skip { .. }) => return,
+            decision => decision.as_ref().map_or(0, GroupDecision::stamp_rejected),
+        };
+        self.decision = Some(GroupDecision::WildcardVerify { stamp_rejected });
+    }
+
+    /// Files the decision of the (search, group) pair just evaluated.
+    fn end_pair(&mut self) {
+        self.touched.clear();
+        let decision = self
+            .decision
+            .take()
+            .unwrap_or(GroupDecision::Skip { stamp_rejected: 0 });
+        if let Some(search) = self.searches.last_mut() {
+            search.decisions.push(decision);
+        }
+    }
 }
 
 impl<'a> ExecCtx<'a> {
@@ -203,6 +265,27 @@ impl<'a> ExecCtx<'a> {
             shared,
             archive: shared.archive,
             stats: QueryStats::default(),
+            probe: None,
+        }
+    }
+
+    /// A probe point: in probe mode, records that Capsules `ids` would be
+    /// read and returns true, and the caller answers with every candidate
+    /// row instead of reading them.
+    fn probe_reads(&mut self, ids: impl IntoIterator<Item = u32>) -> bool {
+        match &mut self.probe {
+            Some(probe) => {
+                probe.touched.extend(ids);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Records the current (search, group) pair's decision in probe mode.
+    fn decide(&mut self, decision: GroupDecision) {
+        if let Some(probe) = &mut self.probe {
+            probe.decision = Some(decision);
         }
     }
 
@@ -224,6 +307,7 @@ impl<'a> ExecCtx<'a> {
 
     /// Decompresses (and caches) one Capsule payload.
     pub(crate) fn payload(&mut self, id: u32) -> Result<Arc<Vec<u8>>> {
+        debug_assert!(self.probe.is_none(), "probe run reached a Capsule read");
         // lint:allow(no-panic-in-decode) — index is reduced modulo the shard-vector length
         let shard = &self.shared.payloads[id as usize % CACHE_SHARDS];
         let mut shard = shard.lock();
@@ -278,8 +362,19 @@ impl<'a> ExecCtx<'a> {
         Ok(arc)
     }
 
-    /// Rows of a Capsule whose values satisfy `(mode, needle)`.
-    fn capsule_find(&mut self, id: u32, needle: &[u8], mode: Mode) -> Result<Vec<u32>> {
+    /// Rows of a Capsule whose values satisfy `(mode, needle)`. `rows` is
+    /// how many rows the caller addresses in the Capsule: a probe answers
+    /// with all of them (never with the Capsule's own untrusted count).
+    fn capsule_find(
+        &mut self,
+        id: u32,
+        rows: u32,
+        needle: &[u8],
+        mode: Mode,
+    ) -> Result<Vec<u32>> {
+        if self.probe_reads([id]) {
+            return Ok((0..rows).collect());
+        }
         let payload = self.payload(id)?;
         let _span = telemetry::span("search");
         let meta = self.meta(id)?;
@@ -405,6 +500,11 @@ impl<'a> ExecCtx<'a> {
                     .map(|(rows, &s)| s || rows.is_empty())
                     .collect();
                 let rb = self.eval_expr_groups(b, &skip_b)?;
+                if self.probe.is_some() {
+                    // The probe's right side is a superset of the real one,
+                    // so subtracting it could drop rows the real run keeps.
+                    return Ok(ra);
+                }
                 Ok(ra.iter().zip(&rb).map(|(x, y)| x.subtract(y)).collect())
             }
         }
@@ -419,12 +519,22 @@ impl<'a> ExecCtx<'a> {
     /// [`ExecCtx::verify_rows`], which parallelizes within a group instead
     /// of being capped by the group count.
     fn eval_str_over_groups(&mut self, s: &SearchString, skip: &[bool]) -> Result<Vec<RowSet>> {
+        if let Some(probe) = &mut self.probe {
+            probe.searches.push(SearchPlan {
+                search: s.raw.clone(),
+                decisions: Vec::with_capacity(skip.len()),
+            });
+        }
         let mut out = Vec::with_capacity(skip.len());
         for (gid, &skipped) in skip.iter().enumerate() {
             if skipped {
+                self.decide(GroupDecision::Skip { stamp_rejected: 0 });
                 out.push(RowSet::empty());
             } else {
                 out.push(self.eval_search_in_group(s, gid)?);
+            }
+            if let Some(probe) = &mut self.probe {
+                probe.end_pair();
             }
         }
         Ok(out)
@@ -443,6 +553,9 @@ impl<'a> ExecCtx<'a> {
         } else {
             self.eval_literal_in_group(gid, frag)?
         };
+        if let Some(probe) = &mut self.probe {
+            probe.wildcard();
+        }
         let rows: Vec<u32> = candidates.iter().collect();
         self.verify_rows(gid, &rows, |line| s.matches_line(line, DEFAULT_DELIMS))
     }
@@ -461,6 +574,15 @@ impl<'a> ExecCtx<'a> {
         rows: &[u32],
         pred: impl Fn(&[u8]) -> bool + Sync,
     ) -> Result<RowSet> {
+        if self.probe.is_some() {
+            // Probe point: rendering reads the group's Capsules, and every
+            // candidate counts as verified.
+            if !rows.is_empty() {
+                let group = self.group(gid)?;
+                self.probe_reads(group.vectors.iter().flat_map(VectorMeta::capsules));
+            }
+            return Ok(RowSet::from_sorted(rows.to_vec()));
+        }
         let shared = self.shared;
         if shared.pool.threads() == 1 || rows.len() < PARALLEL_VERIFY_MIN_ROWS {
             let mut scratch = RenderScratch::default();
@@ -515,29 +637,45 @@ impl<'a> ExecCtx<'a> {
         let group = self.group(gid)?;
         let nrows = group.rows();
         if nrows == 0 {
+            self.decide(GroupDecision::Skip { stamp_rejected: 0 });
             return Ok(RowSet::empty());
         }
-        let pieces = group.template.pieces();
-        let segs: Vec<SegRef<'_>> = pieces
-            .iter()
-            .map(|p| match p {
-                Piece::Static(s) => SegRef::Const(s.as_slice()),
-                Piece::Slot(i) => SegRef::Var(*i),
-            })
-            .collect();
+        let segs = template_segs(group.template.pieces());
         match self.plan_timed(&segs, kw, Mode::Contains) {
-            Plan::All => Ok(RowSet::all(nrows)),
-            Plan::Overflow => self.brute_force_group(gid, |line| strsearch::contains(line, kw)),
+            Plan::All => {
+                self.decide(GroupDecision::AllRows);
+                Ok(RowSet::all(nrows))
+            }
+            Plan::Overflow => {
+                self.decide(GroupDecision::FullScan);
+                self.brute_force_group(gid, |line| strsearch::contains(line, kw))
+            }
             Plan::Conjs(conjs) => {
                 if conjs.is_empty() {
                     self.stats.groups_skipped += 1;
                     telemetry::counter!("query.groups_skipped", 1);
+                    self.decide(GroupDecision::Skip { stamp_rejected: 0 });
                     return Ok(RowSet::empty());
                 }
+                let rejected_before = self.stats.stamp_rejections;
                 let mut out = RowSet::empty();
                 for conj in &conjs {
                     let rows = self.eval_conj_on_slots(gid, conj, kw, nrows)?;
                     out = out.union(&rows);
+                }
+                if let Some(probe) = &mut self.probe {
+                    let stamp_rejected = self.stats.stamp_rejections - rejected_before;
+                    probe.decision = Some(if out.is_empty() && probe.touched.is_empty() {
+                        // Stamps or runtime patterns ruled out every
+                        // conjunction before any Capsule read.
+                        GroupDecision::Skip { stamp_rejected }
+                    } else {
+                        GroupDecision::Scan {
+                            conjunctions: conjs.len(),
+                            capsules: probe.touched.len(),
+                            stamp_rejected,
+                        }
+                    });
                 }
                 Ok(out)
             }
@@ -589,7 +727,7 @@ impl<'a> ExecCtx<'a> {
                     return Ok(RowSet::empty());
                 }
                 Ok(RowSet::from_sorted(
-                    self.capsule_find(*capsule, needle, mode)?,
+                    self.capsule_find(*capsule, nrows, needle, mode)?,
                 ))
             }
             VectorMeta::Real {
@@ -603,7 +741,8 @@ impl<'a> ExecCtx<'a> {
                 // The outlier Capsule is always scanned (§4.1). Its row
                 // count is untrusted, so hits are mapped fallibly.
                 if !outlier_rows.is_empty() {
-                    let hits = self.capsule_find(*outlier_cap, needle, mode)?;
+                    let outliers = outlier_rows.len() as u32;
+                    let hits = self.capsule_find(*outlier_cap, outliers, needle, mode)?;
                     let mut mapped = Vec::with_capacity(hits.len());
                     for r in hits {
                         mapped.push(outlier_rows.get(r as usize).copied().ok_or_else(|| {
@@ -637,14 +776,7 @@ impl<'a> ExecCtx<'a> {
         needle: &[u8],
         mode: Mode,
     ) -> Result<RowSet> {
-        let segs: Vec<SegRef<'_>> = pattern
-            .segments
-            .iter()
-            .map(|s| match s {
-                Segment::Const(c) => SegRef::Const(c.as_slice()),
-                Segment::Var(v) => SegRef::Var(*v),
-            })
-            .collect();
+        let segs = pattern_segs(pattern);
         let pattern_rows = || VectorMeta::pattern_row_map(outlier_rows, nrows);
         match self.plan_timed(&segs, needle, mode) {
             Plan::All => Ok(RowSet::from_sorted(pattern_rows())),
@@ -653,6 +785,9 @@ impl<'a> ExecCtx<'a> {
                 // value through the resolved sub-variable columns into one
                 // reused buffer.
                 let map = pattern_rows();
+                if self.probe_reads(sub_caps.iter().copied()) {
+                    return Ok(RowSet::from_sorted(map));
+                }
                 let mut cols = PatternCols::new(pattern, sub_caps);
                 let mut value = Vec::new();
                 let mut hits = Vec::new();
@@ -686,7 +821,8 @@ impl<'a> ExecCtx<'a> {
                             rows = RowSet::empty();
                             break;
                         }
-                        let hit = RowSet::from_sorted(self.capsule_find(cap, part, req.mode)?);
+                        let hits = self.capsule_find(cap, total_pattern_rows, part, req.mode)?;
+                        let hit = RowSet::from_sorted(hits);
                         rows = rows.intersect(&hit);
                     }
                     out = out.union(&rows);
@@ -720,11 +856,16 @@ impl<'a> ExecCtx<'a> {
         let regions = VectorMeta::dict_regions(patterns)?;
         let fixed = matches!(self.meta(dict_cap)?.layout, Layout::Raw);
         let mut matched: Vec<u32> = Vec::new();
+        let mut probed = false;
         for (p, region) in patterns.iter().zip(&regions) {
             if needle.len() as u32 > p.max_len {
                 continue;
             }
             if !self.dict_pattern_could_match(p, needle, mode) {
+                continue;
+            }
+            if self.probe_reads([dict_cap]) {
+                probed = true;
                 continue;
             }
             // Jump straight to the region (Σ countᵢ×lenᵢ, §5.2) and scan it.
@@ -754,6 +895,12 @@ impl<'a> ExecCtx<'a> {
             };
             matched.extend(hits);
         }
+        if probed {
+            // Every value of a probed region is a candidate, so the index
+            // scan would be too: every row is.
+            self.probe_reads([index_cap]);
+            return Ok(RowSet::all(nrows));
+        }
         if matched.is_empty() {
             return Ok(RowSet::empty());
         }
@@ -764,7 +911,7 @@ impl<'a> ExecCtx<'a> {
             let mut out = RowSet::empty();
             for idx in &matched {
                 let formatted = format_index(*idx, idx_len);
-                let rows = self.capsule_find(index_cap, &formatted, Mode::Exact)?;
+                let rows = self.capsule_find(index_cap, nrows, &formatted, Mode::Exact)?;
                 out = out.union(&RowSet::from_sorted(rows));
             }
             Ok(out)
@@ -790,15 +937,7 @@ impl<'a> ExecCtx<'a> {
     /// Could `(mode, needle)` match any value of this dictionary pattern?
     /// Pattern structure plus sub-variable stamps — no decompression.
     fn dict_pattern_could_match(&mut self, p: &DictPattern, needle: &[u8], mode: Mode) -> bool {
-        let segs: Vec<SegRef<'_>> = p
-            .pattern
-            .segments
-            .iter()
-            .map(|s| match s {
-                Segment::Const(c) => SegRef::Const(c.as_slice()),
-                Segment::Var(v) => SegRef::Var(*v),
-            })
-            .collect();
+        let segs = pattern_segs(&p.pattern);
         match self.plan_timed(&segs, needle, mode) {
             Plan::All | Plan::Overflow => true,
             Plan::Conjs(conjs) => {

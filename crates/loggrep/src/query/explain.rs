@@ -1,18 +1,17 @@
 //! Query plan explanation: what §5.1's Capsule locating decides *before*
 //! touching any compressed data.
 //!
-//! [`Archive::explain`] walks the same planner the executor uses — template
-//! segments, runtime patterns, Capsule stamps — but never decompresses a
-//! Capsule, so it is cheap enough to run on every query for observability.
+//! [`Archive::explain`] is the executor's own filter stage run in probe
+//! mode: the same walk over template segments, runtime patterns and
+//! Capsule stamps, except that every Capsule read is recorded instead of
+//! performed. It never decompresses a Capsule, so it is cheap enough to run
+//! on every query for observability.
 
 use crate::boxfile::Archive;
 use crate::error::Result;
-use crate::pattern::Segment;
 use crate::query::lang::{AggSpec, Query};
-use crate::query::plan::{plan, plan_agg, AggTargetKind, Mode, Plan, SegRef};
+use crate::query::plan::{plan_agg, AggTargetKind};
 use crate::stats::{AggLayer, QueryStats};
-use crate::vector::VectorMeta;
-use logparse::Piece;
 use std::fmt;
 
 /// How one search string relates to one group, per the planner.
@@ -21,8 +20,9 @@ pub enum GroupDecision {
     /// The keyword lies inside the static pattern: every row matches.
     AllRows,
     /// No possible match: the group is skipped without decompression —
-    /// either the static pattern already excludes the keyword
-    /// (`stamp_rejected == 0`) or every requirement died on a stamp.
+    /// the static pattern excludes the keyword, an `and`/`not` left side
+    /// already emptied the group, or stamps and runtime patterns ruled out
+    /// every requirement.
     Skip {
         /// Requirements rejected by stamps on the way to this decision.
         stamp_rejected: usize,
@@ -40,8 +40,24 @@ pub enum GroupDecision {
     /// The planner overflowed; the executor would scan the whole group.
     FullScan,
     /// Wildcard string: candidates come from the longest literal fragment,
-    /// then rows are verified by reconstruction.
-    WildcardVerify,
+    /// then rows are verified by reconstruction. (A group the fragment
+    /// rules out explains as [`GroupDecision::Skip`].)
+    WildcardVerify {
+        /// Fragment requirements rejected by stamps without decompression.
+        stamp_rejected: usize,
+    },
+}
+
+impl GroupDecision {
+    /// Requirements stamps rejected on the way to this decision.
+    pub fn stamp_rejected(&self) -> usize {
+        match self {
+            GroupDecision::Skip { stamp_rejected }
+            | GroupDecision::Scan { stamp_rejected, .. }
+            | GroupDecision::WildcardVerify { stamp_rejected } => *stamp_rejected,
+            GroupDecision::AllRows | GroupDecision::FullScan => 0,
+        }
+    }
 }
 
 /// The plan of one search string across all groups.
@@ -84,25 +100,12 @@ impl Explanation {
         let mut predicted_skips = 0usize;
         let mut predicted_scan_capsules = 0usize;
         let mut predicted_stamp_rejections = 0usize;
-        let mut has_wildcards = false;
-        for sp in &self.searches {
-            for d in &sp.decisions {
-                match d {
-                    GroupDecision::Skip { stamp_rejected } => {
-                        predicted_skips += 1;
-                        predicted_stamp_rejections += stamp_rejected;
-                    }
-                    GroupDecision::Scan {
-                        capsules,
-                        stamp_rejected,
-                        ..
-                    } => {
-                        predicted_scan_capsules += capsules;
-                        predicted_stamp_rejections += stamp_rejected;
-                    }
-                    GroupDecision::WildcardVerify => has_wildcards = true,
-                    GroupDecision::AllRows | GroupDecision::FullScan => {}
-                }
+        for d in self.searches.iter().flat_map(|sp| &sp.decisions) {
+            predicted_stamp_rejections += d.stamp_rejected();
+            match d {
+                GroupDecision::Skip { .. } => predicted_skips += 1,
+                GroupDecision::Scan { capsules, .. } => predicted_scan_capsules += capsules,
+                _ => {}
             }
         }
         PlanDrift {
@@ -113,7 +116,6 @@ impl Explanation {
             predicted_stamp_rejections,
             actual_stamp_rejections: stats.stamp_rejections,
             capsules_total: stats.capsules_total as usize,
-            has_wildcards,
         }
     }
 }
@@ -121,16 +123,18 @@ impl Explanation {
 /// Predicted-vs-actual agreement between [`Archive::explain`] and one
 /// executed query — the drift report printed after a traced query.
 ///
-/// The executor is lazy (progressive matching stops evaluating a group once
-/// a conjunction dies, and an `and`'s right side never runs on groups its
-/// left side emptied), so actuals are *at most* the predictions for skips
-/// and stamp rejections. Decompression has no such bound: reconstructing
-/// matched rows decompresses Capsules the locating plan never touches.
+/// The explanation is the executor's filter stage run in probe mode, whose
+/// row sets are supersets of the real run's, so the probe meets every
+/// planner skip and stamp check the (lazy) executor meets: actuals are *at
+/// most* the predictions for skips and stamp rejections, by construction
+/// and for wildcard queries too. Decompression has no such bound:
+/// reconstructing matched rows decompresses Capsules the locating plan
+/// never touches.
 #[derive(Debug, Clone, Default)]
 pub struct PlanDrift {
     /// (search, group) pairs the planner decided to skip.
     pub predicted_skips: usize,
-    /// Group skips the executor actually took (lazy: ≤ predicted).
+    /// Group skips the executor actually took (≤ predicted).
     pub actual_groups_skipped: usize,
     /// Upper bound on distinct Capsules the locating plan may touch
     /// (summed across searches, so shared Capsules count once per search).
@@ -139,14 +143,10 @@ pub struct PlanDrift {
     pub actual_capsules_decompressed: usize,
     /// Requirements the planner already saw stamps reject.
     pub predicted_stamp_rejections: usize,
-    /// Requirements stamps rejected during execution (lazy: ≤ predicted).
+    /// Requirements stamps rejected during execution (≤ predicted).
     pub actual_stamp_rejections: usize,
     /// Total Capsules in the archive (0 when stats did not record it).
     pub capsules_total: usize,
-    /// Whether any search string had wildcards. The executor then plans on
-    /// literal fragments the explanation never sees, so the lazy-execution
-    /// bounds below do not apply and [`Self::consistent`] is vacuously true.
-    pub has_wildcards: bool,
 }
 
 impl PlanDrift {
@@ -160,16 +160,13 @@ impl PlanDrift {
         self.predicted_stamp_rejections += other.predicted_stamp_rejections;
         self.actual_stamp_rejections += other.actual_stamp_rejections;
         self.capsules_total += other.capsules_total;
-        self.has_wildcards |= other.has_wildcards;
     }
 
     /// True when the execution stayed within the planner's predictions
-    /// (vacuously true for wildcard queries and cache hits — both execute
-    /// less than the plan describes).
+    /// (trivially so for cache hits, which execute nothing).
     pub fn consistent(&self) -> bool {
-        self.has_wildcards
-            || (self.actual_groups_skipped <= self.predicted_skips
-                && self.actual_stamp_rejections <= self.predicted_stamp_rejections)
+        self.actual_groups_skipped <= self.predicted_skips
+            && self.actual_stamp_rejections <= self.predicted_stamp_rejections
     }
 }
 
@@ -196,9 +193,6 @@ impl fmt::Display for PlanDrift {
             "  capsules          scan-bound {:<5} decompressed {}{total}",
             self.predicted_scan_capsules, self.actual_capsules_decompressed
         )?;
-        if self.has_wildcards {
-            writeln!(f, "  (wildcard query: execution plans on literal fragments)")?;
-        }
         writeln!(
             f,
             "  consistent: {}",
@@ -306,7 +300,7 @@ impl fmt::Display for Explanation {
                         "scan: {conjunctions} possible match(es), {capsules} capsule(s), {stamp_rejected} stamp-rejected"
                     ),
                     GroupDecision::FullScan => "full group scan (planner overflow)".to_string(),
-                    GroupDecision::WildcardVerify => {
+                    GroupDecision::WildcardVerify { .. } => {
                         "wildcard: filter + verify by reconstruction".to_string()
                     }
                 };
@@ -329,75 +323,17 @@ impl Archive {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::BadQuery`] if the command does not parse.
+    /// Returns [`crate::Error::BadQuery`] if the command does not parse, or
+    /// [`crate::Error::Corrupt`] if the archive metadata the walk consults
+    /// is inconsistent.
     pub fn explain(&self, command: &str) -> Result<Explanation> {
         let query = Query::parse(command)?;
+        let searches = self.probe_filter(&query.expr)?;
         let groups = &self.boxed.groups;
-        let templates: Vec<String> = groups.iter().map(|g| g.template.display()).collect();
-        let group_rows: Vec<u32> = groups.iter().map(|g| g.rows()).collect();
-
-        let mut searches = Vec::new();
-        for s in query.expr.search_strings() {
-            let mut decisions = Vec::with_capacity(groups.len());
-            for group in groups {
-                if s.as_literal().is_none() {
-                    decisions.push(GroupDecision::WildcardVerify);
-                    continue;
-                }
-                let kw = s.as_literal().expect("checked literal");
-                let segs: Vec<SegRef<'_>> = group
-                    .template
-                    .pieces()
-                    .iter()
-                    .map(|p| match p {
-                        Piece::Static(text) => SegRef::Const(text.as_slice()),
-                        Piece::Slot(i) => SegRef::Var(*i),
-                    })
-                    .collect();
-                decisions.push(match plan(&segs, kw, Mode::Contains) {
-                    Plan::All => GroupDecision::AllRows,
-                    Plan::Overflow => GroupDecision::FullScan,
-                    Plan::Conjs(conjs) if conjs.is_empty() => {
-                        GroupDecision::Skip { stamp_rejected: 0 }
-                    }
-                    Plan::Conjs(conjs) => {
-                        let mut capsules = std::collections::HashSet::new();
-                        let mut stamp_rejected = 0usize;
-                        for conj in &conjs {
-                            for req in conj {
-                                let part = &kw[req.lo..req.hi];
-                                self.explain_requirement(
-                                    group,
-                                    req.var,
-                                    part,
-                                    &mut capsules,
-                                    &mut stamp_rejected,
-                                );
-                            }
-                        }
-                        if capsules.is_empty() {
-                            // Every requirement died on a stamp: the group
-                            // is skipped without touching compressed data.
-                            GroupDecision::Skip { stamp_rejected }
-                        } else {
-                            GroupDecision::Scan {
-                                conjunctions: conjs.len(),
-                                capsules: capsules.len(),
-                                stamp_rejected,
-                            }
-                        }
-                    }
-                });
-            }
-            searches.push(SearchPlan {
-                search: s.raw.clone(),
-                decisions,
-            });
-        }
         Ok(Explanation {
             query: command.to_string(),
-            templates,
-            group_rows,
+            templates: groups.iter().map(|g| g.template.display()).collect(),
+            group_rows: groups.iter().map(|g| g.rows()).collect(),
             searches,
         })
     }
@@ -419,105 +355,6 @@ impl Archive {
         };
         Ok(plan_agg(spec, target, filter.is_some()))
     }
-
-    /// Accounts the Capsules one slot-requirement would touch.
-    fn explain_requirement(
-        &self,
-        group: &crate::boxfile::GroupMeta,
-        slot: usize,
-        part: &[u8],
-        capsules: &mut std::collections::HashSet<u32>,
-        stamp_rejected: &mut usize,
-    ) {
-        match &group.vectors[slot] {
-            VectorMeta::Plain { capsule } => {
-                if self.boxed.capsules[*capsule as usize].stamp.admits(part) {
-                    capsules.insert(*capsule);
-                } else {
-                    *stamp_rejected += 1;
-                }
-            }
-            VectorMeta::Real {
-                pattern,
-                sub_caps,
-                outlier_cap,
-                outlier_rows,
-            } => {
-                let segs: Vec<SegRef<'_>> = pattern
-                    .segments
-                    .iter()
-                    .map(|seg| match seg {
-                        Segment::Const(c) => SegRef::Const(c.as_slice()),
-                        Segment::Var(v) => SegRef::Var(*v),
-                    })
-                    .collect();
-                if let Plan::Conjs(conjs) = plan(&segs, part, Mode::Contains) {
-                    for conj in &conjs {
-                        for req in conj {
-                            let cap = sub_caps[req.var];
-                            let sub = &part[req.lo..req.hi];
-                            if self.boxed.capsules[cap as usize].stamp.admits(sub) {
-                                capsules.insert(cap);
-                            } else {
-                                *stamp_rejected += 1;
-                            }
-                        }
-                    }
-                }
-                if !outlier_rows.is_empty() {
-                    capsules.insert(*outlier_cap);
-                }
-            }
-            VectorMeta::Nominal {
-                patterns,
-                dict_cap,
-                index_cap,
-                ..
-            } => {
-                // Same could-match test the executor runs: pattern structure
-                // plus the per-sub-variable stamps. Rejections are counted
-                // per dictionary pattern region, exactly as the executor
-                // does, so a drift report can bound actual by predicted.
-                let mut could = false;
-                for p in patterns {
-                    if part.len() as u32 > p.max_len {
-                        continue;
-                    }
-                    let segs: Vec<SegRef<'_>> = p
-                        .pattern
-                        .segments
-                        .iter()
-                        .map(|seg| match seg {
-                            Segment::Const(c) => SegRef::Const(c.as_slice()),
-                            Segment::Var(v) => SegRef::Var(*v),
-                        })
-                        .collect();
-                    match plan(&segs, part, Mode::Contains) {
-                        Plan::All | Plan::Overflow => could = true,
-                        Plan::Conjs(conjs) => {
-                            let ok = conjs.iter().any(|conj| {
-                                conj.iter().all(|req| {
-                                    p.pattern.sub_stamps[req.var]
-                                        .admits(&part[req.lo..req.hi])
-                                })
-                            });
-                            if ok {
-                                could = true;
-                            } else if !conjs.is_empty() {
-                                *stamp_rejected += 1;
-                            }
-                        }
-                    }
-                }
-                if could {
-                    capsules.insert(*dict_cap);
-                    capsules.insert(*index_cap);
-                } else {
-                    *stamp_rejected += 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -525,7 +362,7 @@ mod tests {
     use super::*;
     use crate::{LogGrep, LogGrepConfig};
 
-    fn archive() -> Archive {
+    fn archive_with(config: LogGrepConfig) -> Archive {
         let mut raw = Vec::new();
         for i in 0..200 {
             raw.extend_from_slice(format!("alpha job {:04} fine\n", i).as_bytes());
@@ -533,10 +370,31 @@ mod tests {
                 raw.extend_from_slice(format!("beta crash {:04} bad\n", i).as_bytes());
             }
         }
-        LogGrep::new(LogGrepConfig::default())
-            .compress_to_archive(&raw)
-            .unwrap()
+        LogGrep::new(config).compress_to_archive(&raw).unwrap()
     }
+
+    fn archive() -> Archive {
+        archive_with(LogGrepConfig::default())
+    }
+
+    /// Both stamp settings: explain must follow the archive's own config.
+    fn configs() -> [LogGrepConfig; 2] {
+        [LogGrepConfig::default(), LogGrepConfig::without_stamps()]
+    }
+
+    const QUERIES: [&str; 9] = [
+        "crash",
+        "0040",
+        "004000",
+        "crash and 0040",
+        "zzz-never",
+        "fine or bad",
+        "jo*b",
+        "00?0 not crash",
+        // A `not` right side that reads a Capsule, followed by a stamp
+        // rejection the real run only reaches through the rows it keeps.
+        "fine not 0040 and 004000",
+    ];
 
     #[test]
     fn static_hit_explains_as_all() {
@@ -566,10 +424,16 @@ mod tests {
     fn wildcard_marks_verification() {
         let a = archive();
         let ex = a.explain("jo*b").unwrap();
-        assert!(ex.searches[0]
-            .decisions
-            .iter()
-            .all(|d| *d == GroupDecision::WildcardVerify));
+        let decisions = &ex.searches[0].decisions;
+        // `jo` is static in the `alpha job` template; in the `beta crash`
+        // group it could only sit in the numeric slot, whose stamp rules it
+        // out, so that group is skipped.
+        assert!(decisions.contains(&GroupDecision::WildcardVerify { stamp_rejected: 0 }));
+        assert!(decisions.contains(&GroupDecision::Skip { stamp_rejected: 1 }));
+        assert!(decisions.iter().all(|d| matches!(
+            d,
+            GroupDecision::WildcardVerify { .. } | GroupDecision::Skip { .. }
+        )));
     }
 
     #[test]
@@ -581,36 +445,58 @@ mod tests {
     }
 
     #[test]
-    fn drift_bounds_hold_for_literal_queries() {
-        let a = archive();
-        for q in ["crash", "0040", "crash and 0040", "zzz-never", "fine or bad"] {
-            let ex = a.explain(q).unwrap();
-            let result = a.query(q).unwrap();
-            let drift = ex.drift(&result.stats);
-            assert!(!drift.has_wildcards);
-            assert!(drift.consistent(), "query `{q}`: {drift}");
-            assert!(
-                drift.actual_groups_skipped <= drift.predicted_skips,
-                "query `{q}`: {drift}"
-            );
-            assert!(
-                drift.actual_stamp_rejections <= drift.predicted_stamp_rejections,
-                "query `{q}`: {drift}"
-            );
+    fn drift_bounds_hold_for_literal_and_wildcard_queries() {
+        for config in configs() {
+            let a = archive_with(config);
+            for q in QUERIES {
+                let ex = a.explain(q).unwrap();
+                let result = a.query(q).unwrap();
+                let drift = ex.drift(&result.stats);
+                assert!(drift.consistent(), "query `{q}`: {drift}");
+                assert!(
+                    drift.actual_groups_skipped <= drift.predicted_skips,
+                    "query `{q}`: {drift}"
+                );
+                assert!(
+                    drift.actual_stamp_rejections <= drift.predicted_stamp_rejections,
+                    "query `{q}`: {drift}"
+                );
+            }
         }
     }
 
     #[test]
-    fn drift_is_vacuous_for_wildcards() {
+    fn all_skip_explanations_decompress_nothing() {
+        let mut dead_queries = 0;
+        for config in configs() {
+            let a = archive_with(config);
+            for q in QUERIES {
+                let ex = a.explain(q).unwrap();
+                if ex.dead_groups() < ex.templates.len() {
+                    continue;
+                }
+                dead_queries += 1;
+                let result = a.query(q).unwrap();
+                assert_eq!(
+                    result.stats.capsules_decompressed, 0,
+                    "query `{q}` explained as all-skip"
+                );
+            }
+        }
+        assert!(dead_queries >= 2, "no all-skip query exercised");
+    }
+
+    #[test]
+    fn wildcard_drift_counts_fragment_stamp_rejections() {
         let a = archive();
         let ex = a.explain("jo*b").unwrap();
         let result = a.query("jo*b").unwrap();
         let drift = ex.drift(&result.stats);
-        assert!(drift.has_wildcards);
-        assert!(drift.consistent());
+        assert_eq!(drift.actual_stamp_rejections, 1, "{drift}");
+        assert_eq!(drift.predicted_stamp_rejections, 1, "{drift}");
         let text = drift.to_string();
         assert!(text.contains("plan vs execution"));
-        assert!(text.contains("wildcard"));
+        assert!(text.contains("consistent: yes"));
     }
 
     #[test]
@@ -659,8 +545,12 @@ mod tests {
     #[test]
     fn explain_decompresses_nothing() {
         let a = archive();
-        let _ = a.explain("crash and 0040 or fine").unwrap();
-        // Explanation must not have warmed the query cache either.
+        for q in QUERIES {
+            let _ = a.explain(q).unwrap();
+        }
+        // No payload buffer was taken from (or parked in) the arena, and
+        // the query cache stayed cold.
+        assert_eq!(a.arena_buffers(), 0);
         let result = a.query("crash and 0040").unwrap();
         assert!(!result.stats.cache_hit);
     }

@@ -7,6 +7,8 @@
 //! `Exact/Prefix/Suffix/Contains(part)` on variables — the head, tail and
 //! body cases of Figure 6 fall out of the recursion over constants.
 
+use crate::pattern::{RuntimePattern, Segment};
+use logparse::Piece;
 pub use strsearch::fixed::Mode;
 
 /// A segment reference handed to the planner.
@@ -16,6 +18,29 @@ pub enum SegRef<'a> {
     Const(&'a [u8]),
     /// Variable number `usize` (template slot or sub-variable index).
     Var(usize),
+}
+
+/// The planner's view of a static pattern: template constants and slots.
+pub fn template_segs(pieces: &[Piece]) -> Vec<SegRef<'_>> {
+    pieces
+        .iter()
+        .map(|p| match p {
+            Piece::Static(s) => SegRef::Const(s.as_slice()),
+            Piece::Slot(i) => SegRef::Var(*i),
+        })
+        .collect()
+}
+
+/// The planner's view of a runtime pattern: constants and sub-variables.
+pub fn pattern_segs(pattern: &RuntimePattern) -> Vec<SegRef<'_>> {
+    pattern
+        .segments
+        .iter()
+        .map(|s| match s {
+            Segment::Const(c) => SegRef::Const(c.as_slice()),
+            Segment::Var(v) => SegRef::Var(*v),
+        })
+        .collect()
 }
 
 /// One requirement on one variable: `kw[lo..hi]` must relate to the

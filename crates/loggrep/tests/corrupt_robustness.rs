@@ -95,6 +95,9 @@ fn exercise(bytes: &[u8], original_lines: u32) -> bool {
     }
     for q in QUERIES {
         let _ = archive.query(q);
+        // `explain` walks the same untrusted metadata without reading any
+        // Capsule.
+        let _ = archive.explain(q);
     }
     let _ = archive.reconstruct_all();
     true

@@ -20,7 +20,12 @@ fn check(raw: &[u8], config: LogGrepConfig, commands: &[&str]) {
     let engine = LogGrep::new(config);
     let archive = engine.compress_to_archive(raw).unwrap();
     for q in commands {
-        assert_eq!(archive.query(q).unwrap().lines, oracle(raw, q), "query `{q}`");
+        let result = archive.query(q).unwrap();
+        assert_eq!(result.lines, oracle(raw, q), "query `{q}`");
+        // `explain` probes these same paths without reading a Capsule, and
+        // the executor stays within what it predicted.
+        let drift = archive.explain(q).unwrap().drift(&result.stats);
+        assert!(drift.consistent(), "query `{q}`: {drift}");
     }
 }
 

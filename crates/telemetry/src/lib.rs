@@ -9,7 +9,8 @@
 //! # Design
 //!
 //! * **Near-zero cost when disabled.** A single process-wide relaxed
-//!   [`AtomicBool`] gates everything. [`span`] returns an inert guard and
+//!   [`AtomicBool`] gates everything (a thread-local [`suppress`] flag is
+//!   consulted only while it is on). [`span`] returns an inert guard and
 //!   the `counter!`/`histogram!` macros skip recording when disabled, so
 //!   the instrumented hot paths pay one relaxed load.
 //! * **`&'static` metric handles.** The registry leaks each metric once
@@ -73,9 +74,16 @@ pub use registry::{counter, gauge, histogram, reset, snapshot, Snapshot};
 pub use sampler::{sample_now, Sampler, SamplerReport};
 pub use span::{context, span, span_path, Context, Span};
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set while a [`suppress`] guard is alive on this thread.
+    static SUPPRESSED: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Turns telemetry collection on or off process-wide.
 ///
@@ -85,10 +93,38 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether telemetry collection is currently enabled.
+/// Whether telemetry collection is currently enabled (and not suppressed
+/// on this thread).
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) && !SUPPRESSED.with(Cell::get)
+}
+
+/// Silences telemetry on the current thread until the returned guard
+/// drops: spans are inert and the recording macros skip, exactly as if
+/// collection were disabled, while other threads keep recording. For work
+/// that runs instrumented code but must not show up in the metrics, such
+/// as a dry run of a pipeline stage.
+pub fn suppress() -> Suppressed {
+    Suppressed {
+        prev: SUPPRESSED.with(|s| s.replace(true)),
+        _thread_bound: PhantomData,
+    }
+}
+
+/// Guard returned by [`suppress`]; restores the previous state on drop.
+#[derive(Debug)]
+#[must_use = "telemetry is only suppressed while the guard is alive"]
+pub struct Suppressed {
+    prev: bool,
+    /// The flag is per thread, so the guard must drop where it was made.
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for Suppressed {
+    fn drop(&mut self) {
+        SUPPRESSED.with(|s| s.set(self.prev));
+    }
 }
 
 /// Adds to a named counter, caching the `&'static` handle at the call site.
@@ -151,6 +187,16 @@ mod tests {
         let snap = snapshot();
         assert_eq!(snap.counter("lib.test.gated"), 5);
         assert_eq!(snap.histogram("lib.test.hist").unwrap().count, 1);
+
+        {
+            let _quiet = suppress();
+            counter!("lib.test.gated", 5);
+            drop(span("lib.test.suppressed"));
+        }
+        counter!("lib.test.gated", 1);
+        let snap = snapshot();
+        assert_eq!(snap.counter("lib.test.gated"), 6);
+        assert!(snap.histogram("lib.test.suppressed").is_none());
         set_enabled(false);
     }
 }

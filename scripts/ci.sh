@@ -30,7 +30,11 @@ LOGGREP_THREADS=1 cargo test -q
 LOGGREP_THREADS=4 cargo test -q
 
 # Workspace-wide (the root package's `cargo test`/`cargo clippy` silently
-# skip crates it does not depend on, e.g. lint and difftest).
+# skip crates it does not depend on, e.g. lint and difftest). This pass
+# also runs the cluster crate's fault-tolerance suites and the
+# observability smokes (`telemetry --test http` scrapes /metrics, /healthz
+# and /trace/last.json over real TCP; `cli --test trace_out`
+# schema-checks the Chrome trace JSON a traced query emits).
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -58,12 +62,6 @@ cargo test -q --manifest-path perfbench/Cargo.toml
 ./target/release/difftest --aggregates --seed 5 --cases 60 \
     --budget-secs 120 --bench-out BENCH_aggregates.json
 
-# Cluster fault-tolerance suites: the root `cargo test` above only covers
-# the root package, so run the cluster crate's own tests (SimNet
-# determinism, ingest rollback, replica read-fallback, fault schedules)
-# explicitly.
-cargo test -q -p cluster
-
 # Cluster-under-faults oracle smoke: bounded seeded sweeps where each case
 # ingests a generated log into a replicated cluster over a seeded fault
 # schedule (drops, slow nodes, crashes, partitions) and checks the
@@ -85,12 +83,6 @@ if command -v rustup >/dev/null 2>&1 \
 else
     echo "ci: miri not available (nightly toolchain + miri component); skipping"
 fi
-
-# Observability smoke: scrape /metrics, /healthz, and /trace/last.json
-# over real TCP (std TcpStream, no curl) and schema-check the Chrome
-# trace JSON a traced query emits.
-cargo test -q -p telemetry --test http
-cargo test -q -p cli --test trace_out
 
 # Thread-scaling benchmark; BENCH_parallel.json records wall times, speedups
 # vs serial, and the per-stage telemetry breakdown for each thread count.
