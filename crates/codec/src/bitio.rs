@@ -86,14 +86,59 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Tops the accumulator up to more than 56 bits, or to every remaining
+    /// bit near the end of the input. Called only with `nbits <= 56`.
+    ///
+    /// Away from the end this is one unaligned 8-byte load, plus one byte
+    /// when that leaves exactly 56 bits buffered. The load may leave a few
+    /// bits above `nbits`; they are genuine stream bits from a byte not yet
+    /// counted, so OR-ing that byte in again later is harmless. Once the
+    /// input is used up, every bit above `nbits` is zero.
     #[inline]
     fn refill(&mut self) {
+        let word = self
+            .bytes
+            .get(self.pos..)
+            .and_then(|rest| rest.first_chunk::<8>());
+        if let Some(word) = word {
+            self.acc |= u64::from_le_bytes(*word) << self.nbits;
+            self.pos += ((63 - self.nbits) >> 3) as usize;
+            self.nbits |= 56;
+        }
         while self.nbits <= 56 {
             let Some(&b) = self.bytes.get(self.pos) else { break };
             self.acc |= u64::from(b) << self.nbits;
             self.pos += 1;
             self.nbits += 8;
         }
+    }
+
+    /// Returns the next `count` bits (LSB-first) without consuming them.
+    /// Bits past the end of the input read as zero; [`Self::consume`]
+    /// rejects them.
+    #[inline]
+    pub(crate) fn peek_bits(&mut self, count: u32) -> u64 {
+        debug_assert!(count <= 56);
+        if self.nbits < count {
+            self.refill();
+        }
+        self.acc & ((1u64 << count) - 1)
+    }
+
+    /// Consumes `count` bits, which a preceding [`Self::peek_bits`] of at
+    /// least `count` bits has loaded.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if fewer than `count` bits remain.
+    #[inline]
+    pub(crate) fn consume(&mut self, count: u32) -> Result<(), CodecError> {
+        if count > self.nbits {
+            return Err(CodecError::new("bit stream truncated"));
+        }
+        self.acc >>= count;
+        self.nbits -= count;
+        Ok(())
     }
 
     /// Reads `count` bits (LSB-first).
@@ -178,6 +223,31 @@ mod tests {
         let mut r = BitReader::new(&buf);
         r.read_bits(8).unwrap();
         assert!(r.read_bits(1).is_err());
+    }
+
+    #[test]
+    fn peek_reads_zeros_past_the_end_and_consume_rejects_them() {
+        let mut r = BitReader::new(&[0b1010_1100]);
+        assert_eq!(r.peek_bits(12), 0b1010_1100);
+        r.consume(3).unwrap();
+        assert_eq!(r.peek_bits(12), 0b1_0101);
+        assert!(r.consume(6).is_err());
+        r.consume(5).unwrap();
+        assert_eq!(r.peek_bits(12), 0);
+        assert!(r.consume(1).is_err());
+    }
+
+    #[test]
+    fn peek_and_read_agree_across_refills() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        let mut a = BitReader::new(&bytes);
+        let mut b = BitReader::new(&bytes);
+        for width in (1..=15).cycle().take(60) {
+            let peeked = a.peek_bits(width);
+            a.consume(width).unwrap();
+            assert_eq!(peeked, b.read_bits(width).unwrap(), "width {width}");
+            assert_eq!(a.remaining_bits(), b.remaining_bits());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{self, Decoder, Encoder};
-use crate::lz77::{Lz77Params, MatchFinder, Token};
+use crate::lz77::{self, Lz77Params, MatchFinder, Token};
 use crate::varint;
 use crate::{Codec, CodecError};
 
@@ -173,41 +173,37 @@ impl Codec for Deflate {
 
         // Cap the preallocation: the declared length is untrusted input.
         out.reserve(expected_len.min(1 << 20));
+        // Every write is checked against the declared length before it
+        // happens, so a hostile stream can never grow `out` past it.
         loop {
             let sym = litlen_dec.decode(&mut r)? as usize;
+            if sym < 256 {
+                if out.len() == expected_len {
+                    return Err(CodecError::new("deflate: output exceeds declared length"));
+                }
+                out.push(sym as u8);
+                continue;
+            }
             if sym == EOB {
                 break;
             }
-            if sym < 256 {
-                out.push(sym as u8);
-            } else {
-                let lc = sym - 257;
-                let (base, extra) = match (LEN_BASE.get(lc), LEN_EXTRA.get(lc)) {
-                    (Some(&b), Some(&e)) => (b, e),
-                    _ => return Err(CodecError::new("deflate: invalid length code")),
-                };
-                let ext = r.read_bits(extra)? as u32;
-                let len = base + ext;
-                let dc = dist_dec.decode(&mut r)? as usize;
-                let (dbase, dextra) = match (DIST_BASE.get(dc), DIST_EXTRA.get(dc)) {
-                    (Some(&b), Some(&e)) => (b, e),
-                    _ => return Err(CodecError::new("deflate: invalid distance code")),
-                };
-                let dext = r.read_bits(dextra)? as u32;
-                let dsum = dbase + dext;
-                let dist = dsum as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(CodecError::new("deflate: distance out of range"));
-                }
-                let start = out.len() - dist;
-                for i in 0..len as usize {
-                    // lint:allow(no-panic-in-decode) — dist ≤ out.len() above; out grows past start+i before each read
-                    let b = out[start + i];
-                    out.push(b);
-                }
-            }
-            if out.len() > expected_len {
+            let lc = sym - 257;
+            let (base, extra) = match (LEN_BASE.get(lc), LEN_EXTRA.get(lc)) {
+                (Some(&b), Some(&e)) => (b, e),
+                _ => return Err(CodecError::new("deflate: invalid length code")),
+            };
+            let len = (base + r.read_bits(extra)? as u32) as usize;
+            let dc = dist_dec.decode(&mut r)? as usize;
+            let (dbase, dextra) = match (DIST_BASE.get(dc), DIST_EXTRA.get(dc)) {
+                (Some(&b), Some(&e)) => (b, e),
+                _ => return Err(CodecError::new("deflate: invalid distance code")),
+            };
+            let dist = (dbase + r.read_bits(dextra)? as u32) as usize;
+            if len > expected_len - out.len() {
                 return Err(CodecError::new("deflate: output exceeds declared length"));
+            }
+            if !lz77::copy_match(out, dist, len) {
+                return Err(CodecError::new("deflate: distance out of range"));
             }
         }
         if out.len() != expected_len {
@@ -276,6 +272,34 @@ mod tests {
         // Truncations too.
         for cut in 0..packed.len() {
             let _ = c.decompress(&packed[..cut]);
+        }
+    }
+
+    /// `packed` with its varint length header replaced by `declared`.
+    fn redeclare(packed: &[u8], declared: u64) -> Vec<u8> {
+        let (_, consumed) = varint::get_uvarint(packed).unwrap();
+        let mut out = Vec::new();
+        varint::put_uvarint(&mut out, declared);
+        out.extend_from_slice(&packed[consumed..]);
+        out
+    }
+
+    #[test]
+    fn overshooting_the_declared_length_fails_before_writing() {
+        let c = Deflate::default();
+        // One literal, then a single dist-1 match of length 99.
+        let run = c.compress(&[b'x'; 100]);
+        // Eight literals.
+        let literals = c.compress(b"abcdefgh");
+        for (packed, declared) in [(&run, 50), (&run, 2), (&literals, 4)] {
+            let mut out = Vec::new();
+            let err = c.decompress_into(&redeclare(packed, declared), &mut out);
+            assert!(err.is_err(), "declared {declared}");
+            assert!(
+                out.len() <= declared as usize,
+                "declared {declared}, wrote {}",
+                out.len()
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! literal-run length and match length (with 255-continuation extension
 //! bytes), followed by the literals and a 16-bit little-endian match offset.
 
-use crate::lz77::{Lz77Params, MatchFinder, Token};
+use crate::lz77::{self, Lz77Params, MatchFinder, Token};
 use crate::varint;
 use crate::{Codec, CodecError};
 
@@ -137,11 +137,14 @@ impl Codec for FastLz {
             let lits = input
                 .get(pos..lit_end)
                 .ok_or_else(|| CodecError::new("fastlz: truncated literals"))?;
-            out.extend_from_slice(lits);
-            pos = lit_end;
-            if out.len() > expected_len {
+            if lits.len() > expected_len - out.len() {
                 return Err(CodecError::new("fastlz: output exceeds declared length"));
             }
+            match input.get(pos..).and_then(|s| s.first_chunk::<8>()) {
+                Some(word) if lits.len() <= 8 => lz77::append_prefix(out, word, lits.len()),
+                _ => out.extend_from_slice(lits),
+            }
+            pos = lit_end;
             if out.len() == expected_len && pos == input.len() {
                 return Ok(());
             }
@@ -163,18 +166,12 @@ impl Codec for FastLz {
                 }
                 return Err(CodecError::new("fastlz: zero distance"));
             }
-            if dist > out.len() {
-                return Err(CodecError::new("fastlz: distance out of range"));
-            }
             let match_len = match_len as usize;
             if out.len() + match_len > expected_len {
                 return Err(CodecError::new("fastlz: output exceeds declared length"));
             }
-            let start = out.len() - dist;
-            for i in 0..match_len {
-                // lint:allow(no-panic-in-decode) — dist ≤ out.len() above; out grows past start+i before each read
-                let b = out[start + i];
-                out.push(b);
+            if !lz77::copy_match(out, dist, match_len) {
+                return Err(CodecError::new("fastlz: distance out of range"));
             }
         }
     }
@@ -242,6 +239,27 @@ mod tests {
             bad[i] = bad[i].wrapping_add(0x41);
             let _ = c.decompress(&bad);
             bad[i] = bad[i].wrapping_sub(0x41);
+        }
+    }
+
+    #[test]
+    fn overshooting_the_declared_length_fails_before_writing() {
+        let c = FastLz::default();
+        // One literal run of eight bytes; then one literal and a match.
+        let literals = c.compress(b"abcdefgh");
+        let run = c.compress(&[b'x'; 100]);
+        for (packed, declared) in [(&literals, 4), (&run, 50)] {
+            let (_, consumed) = varint::get_uvarint(packed).unwrap();
+            let mut bad = Vec::new();
+            varint::put_uvarint(&mut bad, declared);
+            bad.extend_from_slice(&packed[consumed..]);
+            let mut out = Vec::new();
+            assert!(c.decompress_into(&bad, &mut out).is_err());
+            assert!(
+                out.len() <= declared as usize,
+                "declared {declared}, wrote {}",
+                out.len()
+            );
         }
     }
 

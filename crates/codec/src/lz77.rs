@@ -1,7 +1,8 @@
 //! LZ77 match finding with hash chains and one-step lazy matching.
 //!
 //! Produces a token stream of literals and `(length, distance)` matches that
-//! the [`crate::deflate`] and [`crate::lzma_lite`] codecs entropy-code.
+//! the [`crate::deflate`] and [`crate::lzma_lite`] codecs entropy-code, and
+//! holds [`copy_match`], the match-copy kernel every LZ decoder shares.
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,21 +78,25 @@ pub struct MatchFinder<'a> {
     params: Lz77Params,
     /// head[h] = most recent position with hash h (+1; 0 = none).
     head: Vec<u32>,
-    /// prev[pos & mask] = previous position with the same hash (+1; 0 = none).
+    /// prev[pos & slot_mask] = previous position with the same hash (+1; 0 = none).
     prev: Vec<u32>,
-    window_mask: usize,
+    slot_mask: usize,
 }
 
 impl<'a> MatchFinder<'a> {
     /// Creates a match finder over `data` with the given parameters.
     pub fn new(data: &'a [u8], params: Lz77Params) -> Self {
+        // Chain slots for the window, or for the whole input when that is
+        // shorter: positions stay below `data.len()`, so `pos & slot_mask` picks
+        // the same slot either way and the tokens do not change.
         let window = params.window.next_power_of_two() as usize;
+        let slots = window.min(data.len()).next_power_of_two();
         Self {
             data,
             params,
             head: vec![0; HASH_SIZE],
-            prev: vec![0; window],
-            window_mask: window - 1,
+            prev: vec![0; slots],
+            slot_mask: slots - 1,
         }
     }
 
@@ -101,7 +106,7 @@ impl<'a> MatchFinder<'a> {
             return;
         }
         let h = hash4(self.data, pos);
-        self.prev[pos & self.window_mask] = self.head[h];
+        self.prev[pos & self.slot_mask] = self.head[h];
         self.head[h] = pos as u32 + 1;
     }
 
@@ -138,7 +143,7 @@ impl<'a> MatchFinder<'a> {
                     }
                 }
             }
-            cand = self.prev[cpos & self.window_mask];
+            cand = self.prev[cpos & self.slot_mask];
             chain -= 1;
         }
         if best_dist != 0 {
@@ -216,7 +221,66 @@ fn common_prefix(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     strsearch::swar::common_prefix(wa, wb)
 }
 
-/// Expands a token stream back into bytes (the shared LZ77 "copy" loop).
+/// Appends an LZ77 match to `out`: `len` bytes starting `dist` bytes
+/// behind its end. This is the one copy kernel every LZ decoder shares.
+///
+/// A match that does not overlap its own output (`dist >= len`) is a
+/// single copy: [`append_prefix`] when it is at most 8 bytes, else one
+/// `extend_from_within`. An overlapping one (`dist < len`) repeats the
+/// last `dist` bytes; copying the whole run written so far doubles the
+/// period each step, so a run of `len` bytes takes about
+/// `log2(len / dist)` copies.
+///
+/// Returns `false`, appending nothing, if `dist` is zero or reaches
+/// before the start of `out`. Callers bound `len` by the declared output
+/// length before calling.
+#[inline]
+pub(crate) fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) -> bool {
+    let Some(start) = out.len().checked_sub(dist) else {
+        return false;
+    };
+    if dist == 0 {
+        return false;
+    }
+    if len <= dist {
+        // Eight bytes are readable at `start` exactly when `dist >= 8`.
+        match out.get(start..).and_then(|s| s.first_chunk::<8>()) {
+            Some(&word) if len <= 8 => append_prefix(out, &word, len),
+            _ => out.extend_from_within(start..start + len),
+        }
+        return true;
+    }
+    out.reserve(len);
+    let mut left = len;
+    while left > 0 {
+        // `out[start..]` is periodic with period `dist` and its length is a
+        // multiple of `dist`, so appending a prefix of it continues the run.
+        let chunk = (out.len() - start).min(left);
+        out.extend_from_within(start..start + chunk);
+        left -= chunk;
+    }
+    true
+}
+
+/// Appends the first `len` (at most 8) bytes of `word` to `out`.
+///
+/// With 8 bytes of spare capacity this is one fixed-size 8-byte store and
+/// a truncate instead of a `memcpy` call. LZ streams of log columns are
+/// mostly literal runs and matches of 1–8 bytes, where the call would
+/// cost more than the copy.
+#[inline]
+pub(crate) fn append_prefix(out: &mut Vec<u8>, word: &[u8; 8], len: usize) {
+    debug_assert!(len <= 8);
+    let end = out.len() + len;
+    if out.capacity() - out.len() >= 8 {
+        out.extend_from_slice(word);
+        out.truncate(end);
+    } else {
+        out.extend_from_slice(word.get(..len).unwrap_or(word));
+    }
+}
+
+/// Expands a token stream back into bytes.
 ///
 /// # Errors
 ///
@@ -226,16 +290,8 @@ pub fn expand_into(tokens: &[Token], out: &mut Vec<u8>) -> Result<(), usize> {
         match *t {
             Token::Literal(b) => out.push(b),
             Token::Match { len, dist } => {
-                let dist = dist as usize;
-                if dist == 0 || dist > out.len() {
+                if !copy_match(out, dist as usize, len as usize) {
                     return Err(out.len());
-                }
-                let start = out.len() - dist;
-                // Overlapping copies must proceed byte by byte.
-                for i in 0..len as usize {
-                    // lint:allow(no-panic-in-decode) — dist ≤ out.len() above; out grows past start+i before each read
-                    let b = out[start + i];
-                    out.push(b);
                 }
             }
         }
@@ -291,6 +347,35 @@ mod tests {
         roundtrip(&data, Lz77Params::DEFLATE);
         let tokens = MatchFinder::new(&data, Lz77Params::DEFLATE).tokenize();
         assert!(tokens.len() < 20);
+    }
+
+    #[test]
+    fn copy_match_agrees_with_byte_at_a_time_copy() {
+        let seed = b"abcdefghijkl";
+        // No spare capacity, and plenty: both paths of `append_prefix`.
+        for spare in [0, 64] {
+            for dist in 1..=seed.len() {
+                for len in 0..40 {
+                    let mut want = seed.to_vec();
+                    let start = want.len() - dist;
+                    for i in 0..len {
+                        want.push(want[start + i]);
+                    }
+                    let mut got = Vec::with_capacity(seed.len() + spare);
+                    got.extend_from_slice(seed);
+                    assert!(copy_match(&mut got, dist, len));
+                    assert_eq!(got, want, "spare {spare} dist {dist} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn copy_match_rejects_bad_distance_without_writing() {
+        let mut out = b"abc".to_vec();
+        assert!(!copy_match(&mut out, 0, 5));
+        assert!(!copy_match(&mut out, 4, 5));
+        assert_eq!(out, b"abc");
     }
 
     #[test]

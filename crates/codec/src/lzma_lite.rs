@@ -15,7 +15,7 @@
 //! It is slower than [`crate::Deflate`] and compresses better, which is the
 //! relationship the paper's evaluation depends on.
 
-use crate::lz77::{Lz77Params, MatchFinder, Token};
+use crate::lz77::{self, Lz77Params, MatchFinder, Token};
 use crate::rangecoder::{BitTree, Prob, RangeDecoder, RangeEncoder};
 use crate::varint;
 use crate::{Codec, CodecError};
@@ -247,19 +247,12 @@ impl Codec for LzmaLite {
                     state = STATE_MATCH;
                     (len, v + 1)
                 };
-                let dist = dist as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(CodecError::new("lzma-lite: distance out of range"));
-                }
                 let len = len as usize;
                 if out.len() + len > expected_len {
                     return Err(CodecError::new("lzma-lite: output exceeds declared length"));
                 }
-                let start = out.len() - dist;
-                for i in 0..len {
-                    // lint:allow(no-panic-in-decode) — dist ≤ out.len() above; out grows past start+i before each read
-                    let b = out[start + i];
-                    out.push(b);
+                if !lz77::copy_match(out, dist as usize, len) {
+                    return Err(CodecError::new("lzma-lite: distance out of range"));
                 }
             }
         }

@@ -39,14 +39,23 @@ pub const DESIGNATED: &[(&str, ScopeSpec)] = &[
         "crates/codec/src/cm1.rs",
         ScopeSpec::Functions(&["decompress", "decompress_into"]),
     ),
-    ("crates/codec/src/huffman.rs", ScopeSpec::Functions(&["from_lengths", "decode"])),
-    ("crates/codec/src/bitio.rs", ScopeSpec::Functions(&["read_bit", "read_bits", "refill", "align_byte"])),
+    (
+        "crates/codec/src/huffman.rs",
+        ScopeSpec::Functions(&["from_lengths", "decode", "decode_long"]),
+    ),
+    (
+        "crates/codec/src/bitio.rs",
+        ScopeSpec::Functions(&["read_bit", "read_bits", "refill", "peek_bits", "consume"]),
+    ),
     (
         "crates/codec/src/rangecoder.rs",
         ScopeSpec::Functions(&["new", "next_byte", "decode_bit", "decode_direct", "decode"]),
     ),
     ("crates/codec/src/varint.rs", ScopeSpec::Functions(&["get_uvarint"])),
-    ("crates/codec/src/lz77.rs", ScopeSpec::Functions(&["expand_into"])),
+    (
+        "crates/codec/src/lz77.rs",
+        ScopeSpec::Functions(&["expand_into", "copy_match", "append_prefix"]),
+    ),
 ];
 
 /// The scope designated for `rel` (forward-slash relative path), if any.
